@@ -239,7 +239,11 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 	}
 	s.res.SVCForwards = s.svcMem.Forwards
 	s.res.SVCViolations = s.svcMem.Violations
-	return &s.res, nil
+	// Return a copy: a pointer into s would keep the whole simulator
+	// (thread units, ledgers, caches) reachable from every cached
+	// Result.
+	res := s.res
+	return &res, nil
 }
 
 // stepThread advances one thread unit by one cycle: retire up to

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/cfg"
@@ -75,6 +76,37 @@ func TestSpeculationBeatsBaseline(t *testing.T) {
 	if spec.AvgActiveThreads < 2 {
 		t.Errorf("average active threads %v too low", spec.AvgActiveThreads)
 	}
+}
+
+// TestResultDoesNotPinSimulator: a Result outlives its simulation in
+// the engine's cache, which charges it ApproxBytes (hundreds of
+// bytes), so it must not keep the simulator's per-TU state (~15MB at
+// 16 TUs) reachable.
+func TestResultDoesNotPinSimulator(t *testing.T) {
+	tr, tab, _ := pipeline(t, workload.KernelIndependentMap(128, 16), core.Config{})
+	cfg := Config{TUs: 16, Pairs: tab}
+	if _, err := Simulate(tr, cfg); err != nil { // warm any per-trace state
+		t.Fatal(err)
+	}
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := int64(ms.HeapAlloc)
+	held := make([]*Result, 8)
+	for i := range held {
+		res, err := Simulate(tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held[i] = res
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	per := (int64(ms.HeapAlloc) - before) / int64(len(held))
+	if limit := int64(256 << 10); per > limit {
+		t.Fatalf("each held Result retains %d bytes (limit %d): the simulator is still reachable", per, limit)
+	}
+	runtime.KeepAlive(held)
 }
 
 func TestMoreTUsNeverMuchWorse(t *testing.T) {

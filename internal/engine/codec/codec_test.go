@@ -14,6 +14,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/linalg"
 	"repro/internal/reach"
+	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -296,7 +297,9 @@ func TestPipelineArtifactsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := reach.ComputeOpts(g, reach.Options{Workers: 1})
+	serial := sched.New(1)
+	t.Cleanup(serial.Close)
+	rr, err := reach.ComputeOpts(g, reach.Options{Sched: serial})
 	if err != nil {
 		t.Fatal(err)
 	}

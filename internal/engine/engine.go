@@ -125,6 +125,9 @@ type call struct {
 // each other's warm artifacts.
 type Engine struct {
 	sched *sched.Scheduler
+	// ownSched is set when New built sched (Options.Sched was nil), so
+	// Close stops its workers; an injected scheduler is the caller's.
+	ownSched bool
 	// local is the store chain Exec memoizes through (memory, or
 	// memory+disk) — also the view Peek and WarmFromDisk use. rstore,
 	// when non-nil, is the remote-fetch stage consulted between a local
@@ -143,8 +146,8 @@ type Engine struct {
 
 // New builds an Engine.
 func New(opts Options) *Engine {
-	s := opts.Sched
-	if s == nil {
+	s, own := opts.Sched, opts.Sched == nil
+	if own {
 		s = sched.New(opts.Workers)
 	}
 	mem := NewCacheSized(opts.CacheEntries, opts.CacheBytes)
@@ -158,6 +161,7 @@ func New(opts Options) *Engine {
 	}
 	return &Engine{
 		sched:    s,
+		ownSched: own,
 		local:    local,
 		rstore:   rstore,
 		repl:     opts.Replicate,
@@ -198,15 +202,20 @@ func (e *Engine) Disk() *DiskTier { return e.disk }
 
 // Close drains the disk tier's async-write queue and stops its
 // background writer, so every computed artifact is durable before the
-// process exits. A memory-only engine closes trivially; the engine
-// itself stays usable (later disk writes degrade to synchronous).
-// Close is idempotent and safe to call concurrently with itself and
-// with in-flight Exec calls — every Close returns only after the queue
-// has drained, so an ops shutdown path racing a SIGTERM drain cannot
-// observe a half-flushed store.
+// process exits, and then stops the scheduler's workers if New built
+// the scheduler (an injected Options.Sched is left running). The
+// engine itself stays usable: later disk writes degrade to synchronous
+// and later jobs run on the calling goroutine. Close is idempotent and
+// safe to call concurrently with itself and with in-flight Exec calls
+// — every Close returns only after the queue has drained, so an ops
+// shutdown path racing a SIGTERM drain cannot observe a half-flushed
+// store.
 func (e *Engine) Close() {
 	if e.disk != nil {
 		e.disk.Close()
+	}
+	if e.ownSched {
+		e.sched.Close()
 	}
 }
 

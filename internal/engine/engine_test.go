@@ -5,10 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/sched"
 )
 
 func leaf(key string, v any) Job {
@@ -343,5 +346,71 @@ func TestJoinerRetriesAfterLeaderCancelled(t *testing.T) {
 	case <-joined:
 	case <-time.After(5 * time.Second):
 		t.Fatal("joiner hung after leader cancellation")
+	}
+}
+
+// workerLoops counts live scheduler worker goroutines in the process.
+func workerLoops() int {
+	buf := make([]byte, 1<<20)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return strings.Count(string(buf[:n]), "sched.(*worker).loop(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// onWorker reports whether the calling goroutine is a scheduler worker.
+func onWorker() bool {
+	buf := make([]byte, 64<<10)
+	return strings.Contains(string(buf[:runtime.Stack(buf, false)]), "sched.(*worker).loop(")
+}
+
+// TestCloseStopsOwnedScheduler: an engine that built its scheduler
+// stops the workers on Close, so a dropped engine does not keep parked
+// goroutines (and through them its store) alive; the engine still runs
+// jobs afterwards, on the calling goroutine.
+func TestCloseStopsOwnedScheduler(t *testing.T) {
+	before := workerLoops()
+	e := New(Options{Workers: 4})
+	if got := workerLoops(); got < before+4 {
+		t.Fatalf("%d worker goroutines after New, want >= %d", got, before+4)
+	}
+	if _, err := e.Exec(context.Background(), leaf("a", 1)); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for workerLoops() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d worker goroutines 5s after Close, want <= %d", workerLoops(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var ranOnWorker bool
+	if _, err := e.Exec(context.Background(), Job{Key: "b", Run: func(ctx context.Context, deps []any) (any, error) {
+		ranOnWorker = onWorker()
+		return 2, nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if ranOnWorker {
+		t.Fatal("job ran on a worker of a closed scheduler")
+	}
+}
+
+// TestCloseLeavesInjectedScheduler: an Options.Sched scheduler belongs
+// to the caller, so Engine.Close must leave its workers running.
+func TestCloseLeavesInjectedScheduler(t *testing.T) {
+	s := sched.New(2)
+	t.Cleanup(s.Close)
+	e := New(Options{Sched: s})
+	e.Close()
+	var ranOnWorker bool
+	if err := s.Do(context.Background(), "probe", func() { ranOnWorker = onWorker() }); err != nil {
+		t.Fatal(err)
+	}
+	if !ranOnWorker {
+		t.Fatal("Engine.Close stopped an injected scheduler")
 	}
 }

@@ -48,12 +48,16 @@ func (blobCodec) Decode(kind string, data []byte) (any, error) {
 	return &b, nil
 }
 
+// openTestTier opens a disk tier closed when the test ends — before
+// dir is removed when dir came from t.TempDir (cleanups run last
+// registered first), so no queued write lands after the removal.
 func openTestTier(t *testing.T, dir string, maxBytes int64) *DiskTier {
 	t.Helper()
 	dt, err := OpenDiskTier(dir, maxBytes, blobCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(dt.Close)
 	return dt
 }
 
@@ -299,6 +303,7 @@ func TestTieredExecPointerIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := New(Options{Workers: 4, Disk: dt})
+	defer eng.Close() // drain slowCodec writes before dir is removed
 	ctx := context.Background()
 	for iter := 0; iter < 200; iter++ {
 		var mu sync.Mutex

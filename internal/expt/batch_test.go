@@ -1,6 +1,8 @@
 package expt
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/engine"
@@ -87,5 +89,22 @@ func TestFigureRecordsSimLatency(t *testing.T) {
 		if lat[kind].Count == 0 {
 			t.Errorf("no %q latency recorded: %v", kind, lat)
 		}
+	}
+}
+
+// TestSimBatchHonoursSuiteContext: figure simulations run under the
+// suite's context, so a cancelled request stops its uncached sims.
+func TestSimBatchHonoursSuiteContext(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 2})
+	t.Cleanup(eng.Close)
+	ctx, cancel := context.WithCancel(context.Background())
+	s, err := NewSuiteEngineCtx(ctx, eng, workload.SizeTest, []string{"compress"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	_, err = s.SimBatch([]SimReq{{Bench: s.Benches[0], Spec: SimSpec{Policy: "profile", TUs: 4}}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("SimBatch under a cancelled suite context: err = %v, want context.Canceled", err)
 	}
 }

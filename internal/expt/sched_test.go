@@ -154,11 +154,9 @@ func sweepGrid(s *Suite) []SimReq {
 
 // benchmarkSchedSweep measures one cold end-to-end sweep: pipeline
 // build (emu → cfg → reach → tiles) plus the mixed sim grid, per
-// iteration. reachPrivate > 0 reproduces the pool-per-level seed
-// topology (engine pool + a private reach pool per in-flight reach
-// job) at the same core budget — the baseline BENCH_sched.json's
-// summary compares the unified scheduler against.
-func benchmarkSchedSweep(b *testing.B, workers, reachPrivate int) {
+// iteration, with every parallelism level on one workers-sized
+// scheduler.
+func benchmarkSchedSweep(b *testing.B, workers int) {
 	names := []string{"compress", "ijpeg", "li", "go"}
 	for i := 0; i < b.N; i++ {
 		// Collect the previous iteration's (and sub-benchmark's) engine
@@ -169,7 +167,7 @@ func benchmarkSchedSweep(b *testing.B, workers, reachPrivate int) {
 		runtime.GC()
 		b.StartTimer()
 		eng := engine.New(engine.Options{Workers: workers})
-		s := &Suite{Size: workload.SizeTest, eng: eng, ctx: context.Background(), reachWorkers: reachPrivate}
+		s := &Suite{Size: workload.SizeTest, eng: eng, ctx: context.Background()}
 		benches := make([]*Bench, len(names))
 		var failed atomic.Value
 		eng.Sched().For("bench", len(names), func(i int) {
@@ -187,6 +185,9 @@ func benchmarkSchedSweep(b *testing.B, workers, reachPrivate int) {
 		if _, err := s.SimBatch(sweepGrid(s)); err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
+		eng.Close()
+		b.StartTimer()
 	}
 }
 
@@ -196,8 +197,7 @@ func BenchmarkSchedSweep(b *testing.B) {
 	if half < 1 {
 		half = 1
 	}
-	b.Run("unified/w=1", func(b *testing.B) { benchmarkSchedSweep(b, 1, 0) })
-	b.Run("unified/w=half", func(b *testing.B) { benchmarkSchedSweep(b, half, 0) })
-	b.Run("unified/w=full", func(b *testing.B) { benchmarkSchedSweep(b, full, 0) })
-	b.Run("threepool/w=full", func(b *testing.B) { benchmarkSchedSweep(b, full, full) })
+	b.Run("unified/w=1", func(b *testing.B) { benchmarkSchedSweep(b, 1) })
+	b.Run("unified/w=half", func(b *testing.B) { benchmarkSchedSweep(b, half) })
+	b.Run("unified/w=full", func(b *testing.B) { benchmarkSchedSweep(b, full) })
 }

@@ -136,12 +136,6 @@ type Suite struct {
 	// carrying the request's context here is what lets cancellation and
 	// trace identity reach the engine's spans.
 	ctx context.Context
-	// reachWorkers, when non-zero, routes reach jobs through a private
-	// pool of that size instead of the engine's scheduler — the
-	// pool-per-level topology the unified scheduler replaced. It exists
-	// solely so BenchmarkSchedSweep can measure that baseline; nothing
-	// sets it in production.
-	reachWorkers int
 }
 
 // NewSuite builds the pipeline for the given benchmarks (nil = the full
@@ -235,12 +229,7 @@ func (s *Suite) benchJob(name string) engine.Job {
 			// group runs on the worker it started on (no oversubscription),
 			// and when this job is the only work the idle workers steal
 			// its sources. Output is identical for every worker count.
-			ro := reach.Options{Sched: s.eng.Sched()}
-			if s.reachWorkers > 0 {
-				// Benchmark-only baseline: the seed's private pool.
-				ro = reach.Options{Workers: s.reachWorkers}
-			}
-			return reach.ComputeOpts(deps[0].(*cfg.Graph), ro)
+			return reach.ComputeOpts(deps[0].(*cfg.Graph), reach.Options{Sched: s.eng.Sched()})
 		},
 	}
 	return engine.Job{
@@ -465,14 +454,15 @@ func (s *Suite) SimEach(ctx context.Context, reqs []SimReq, done func(i int, r *
 // out[i] answers reqs[i]. Identical specs are deduplicated by the
 // engine (in-flight and cached), and results are deterministic — a
 // batch returns the same *cluster.Result pointers the equivalent
-// sequence of Sim calls would.
+// sequence of Sim calls would. The batch runs under the suite's
+// context, so the request's cancellation, deadline and trace apply.
 func (s *Suite) SimBatch(reqs []SimReq) ([]*cluster.Result, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
 	out := make([]*cluster.Result, len(reqs))
 	errs := make([]error, len(reqs))
-	if err := s.SimEach(context.Background(), reqs, func(i int, r *cluster.Result, err error) {
+	if err := s.SimEach(s.ctx, reqs, func(i int, r *cluster.Result, err error) {
 		out[i], errs[i] = r, err
 	}); err != nil {
 		return nil, err

@@ -104,11 +104,11 @@ func BenchmarkLinalg(b *testing.B) {
 		b.Run(fmt.Sprintf("mul-into/n=%d", n), func(b *testing.B) {
 			dst := NewMatrix(n, n)
 			ws := NewWorkspace()
-			MulIntoOpt(dst, a, bm, 1, ws) // warm the packing buffers
+			MulIntoSched(dst, a, bm, nil, ws) // warm the packing buffers
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				MulIntoOpt(dst, a, bm, 1, ws)
+				MulIntoSched(dst, a, bm, nil, ws)
 			}
 		})
 		b.Run(fmt.Sprintf("mul-ref/n=%d", n), func(b *testing.B) {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"repro/internal/sched"
 )
 
 // awkwardSizes stresses every edge of the blocking machinery: the
@@ -174,21 +176,28 @@ func TestSingularDetectedBlocked(t *testing.T) {
 	}
 }
 
+// schedOf returns a w-worker scheduler closed when the test ends.
+func schedOf(t *testing.T, w int) *sched.Scheduler {
+	s := sched.New(w)
+	t.Cleanup(s.Close)
+	return s
+}
+
 // TestParallelKernelsAreDeterministic: the tile fan-out must be
-// byte-identical for every worker count — the property the reach
+// byte-identical for every scheduler size — the property the reach
 // engine's parallel == serial guarantee rests on. Run under -race this
 // also proves the disjoint-tile claim.
 func TestParallelKernelsAreDeterministic(t *testing.T) {
 	const n = 300 // > gemmParMinRows so the fan-out actually engages
 	a := randFilled(n, n, 11)
 	b := randFilled(n, n, 13)
-	serialMul := MulIntoOpt(NewMatrix(1, 1), a, b, 1, nil)
+	serialMul := MulIntoSched(NewMatrix(1, 1), a, b, schedOf(t, 1), nil)
 	ws := NewWorkspace()
 	for _, workers := range []int{2, 3, 8} {
-		got := MulIntoOpt(NewMatrix(1, 1), a, b, workers, ws)
+		got := MulIntoSched(NewMatrix(1, 1), a, b, schedOf(t, workers), ws)
 		for i := range serialMul.Data {
 			if serialMul.Data[i] != got.Data[i] {
-				t.Fatalf("workers=%d: MulIntoOpt diverged at %d", workers, i)
+				t.Fatalf("workers=%d: MulIntoSched diverged at %d", workers, i)
 			}
 		}
 	}
@@ -201,7 +210,7 @@ func TestParallelKernelsAreDeterministic(t *testing.T) {
 	serialInv := serial.InverseInto(NewMatrix(1, 1))
 	for _, workers := range []int{2, 4} {
 		par := NewLU(n)
-		par.Workers = workers
+		par.Sched = schedOf(t, workers)
 		if err := par.FactorInto(dd); err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +265,7 @@ func TestPackedPathsZeroAlloc(t *testing.T) {
 	x := NewMatrix(n, n)
 
 	cases := map[string]func(){
-		"MulIntoOpt/ws": func() { MulIntoOpt(dst, a, b, 1, ws) },
+		"MulIntoSched/ws": func() { MulIntoSched(dst, a, b, nil, ws) },
 		"FactorInto": func() {
 			if err := f.FactorInto(a); err != nil {
 				t.Fatal(err)

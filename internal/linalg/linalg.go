@@ -35,10 +35,10 @@
 // engine factorises and multiplies once per CFG) reuses the same
 // storage on every iteration. Workspaces, LU values, and the in-place
 // kernels are NOT safe for concurrent use; give each goroutine its
-// own. The optional parallel tile fan-out (MulIntoOpt, LU.Workers) is
-// deterministic: workers write disjoint output tiles and the
+// own. The optional parallel tile fan-out (MulIntoSched, LU.Sched) is
+// deterministic: tasks write disjoint output tiles and the
 // floating-point schedule per tile is fixed, so results are
-// byte-identical for every worker count.
+// byte-identical for every scheduler size.
 package linalg
 
 import (

@@ -10,9 +10,7 @@ package linalg
 
 import (
 	"fmt"
-	"log/slog"
 	"math"
-	"sync"
 
 	"repro/internal/sched"
 )
@@ -45,29 +43,6 @@ type LU struct {
 	// process's work-stealing scheduler, sharing its core budget.
 	// Output is byte-identical for every scheduler size.
 	Sched *sched.Scheduler
-
-	// Workers bounds the deterministic tile fan-out with a private
-	// goroutine pool when Sched is nil (<= 1 is serial; output is
-	// byte-identical for every value).
-	//
-	// Deprecated: set Sched instead, so tile work draws from the one
-	// scheduler budget rather than adding a pool on top of it.
-	Workers int
-}
-
-// warnWorkersOnce emits the one-time deprecation notice for the
-// private-pool LU.Workers knob.
-var warnWorkersOnce sync.Once
-
-// par resolves the fan-out selection, warning once when the deprecated
-// private-pool knob is the one in effect.
-func (f *LU) par() gemmPar {
-	if f.Sched == nil && f.Workers > 1 {
-		warnWorkersOnce.Do(func() {
-			slog.Warn("linalg: LU.Workers is deprecated; set LU.Sched to share the scheduler budget")
-		})
-	}
-	return gemmPar{sched: f.Sched, workers: f.Workers}
 }
 
 // NewLU returns an LU with storage preallocated for n×n factorisations.
@@ -141,7 +116,6 @@ func (f *LU) FactorInto(a *Matrix) error {
 	if f.buf == nil {
 		f.buf = new(gemmBuf)
 	}
-	par := f.par()
 	for k := 0; k < n; k += luPanel {
 		kb := min(luPanel, n-k)
 		if err := f.factorPanel(k, kb); err != nil {
@@ -154,7 +128,7 @@ func (f *LU) FactorInto(a *Matrix) error {
 		f.trsmPanel(k, kb, rest)
 		// Trailing update A22 -= A21·U12 through the packed kernel.
 		gemmBlock(f.lu, k+kb, k+kb, f.lu, k+kb, k, f.lu, k, k+kb,
-			rest, kb, rest, gemmSub, par, f.buf)
+			rest, kb, rest, gemmSub, f.Sched, f.buf)
 	}
 	return nil
 }
@@ -312,12 +286,11 @@ func (f *LU) solveBlocked(x *Matrix) {
 	if f.buf == nil {
 		f.buf = new(gemmBuf)
 	}
-	par := f.par()
 	// Forward: X[band] -= L[band, 0:k]·X[0:k], then in-band solve.
 	for k := 0; k < n; k += luPanel {
 		ke := min(k+luPanel, n)
 		if k > 0 {
-			gemmBlock(x, k, 0, lu, k, 0, x, 0, 0, ke-k, k, w, gemmSub, par, f.buf)
+			gemmBlock(x, k, 0, lu, k, 0, x, 0, 0, ke-k, k, w, gemmSub, f.Sched, f.buf)
 		}
 		for i := k + 1; i < ke; i++ {
 			lrow := lu.Row(i)
@@ -344,7 +317,7 @@ func (f *LU) solveBlocked(x *Matrix) {
 	for k := start; k >= 0; k -= luPanel {
 		ke := min(k+luPanel, n)
 		if ke < n {
-			gemmBlock(x, k, 0, lu, k, ke, x, ke, 0, ke-k, n-ke, w, gemmSub, par, f.buf)
+			gemmBlock(x, k, 0, lu, k, ke, x, ke, 0, ke-k, n-ke, w, gemmSub, f.Sched, f.buf)
 		}
 		for i := ke - 1; i >= k; i-- {
 			urow := lu.Row(i)

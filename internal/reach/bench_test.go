@@ -50,12 +50,13 @@ func syntheticCFG(n int, seed uint64) *cfg.Graph {
 // n=256 — at 512 a single iteration runs the better part of a minute
 // and measures nothing the smaller sizes do not.
 func BenchmarkReach(b *testing.B) {
+	serial := schedOf(b, 1)
 	for _, n := range []int{64, 128, 256, 512} {
 		g := syntheticCFG(n, 42)
 		b.Run(fmt.Sprintf("shared/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ComputeOpts(g, Options{Workers: 1}); err != nil {
+				if _, err := ComputeOpts(g, Options{Sched: serial}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -61,7 +61,6 @@ package reach
 
 import (
 	"fmt"
-	"log/slog"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -108,21 +107,11 @@ type Options struct {
 	// Sched, when non-nil, is the work-stealing scheduler the
 	// per-source fan-out (and the nested linalg tile fan-out) forks
 	// into — normally the engine's scheduler, so reach work shares the
-	// one core budget. When nil and Workers is unset, sched.Default()
-	// is used. Output is byte-identical for every scheduler size.
+	// one core budget; a 1-worker scheduler runs serially. When nil,
+	// sched.Default() is used. Output is byte-identical for every
+	// scheduler size.
 	Sched *sched.Scheduler
-
-	// Workers bounds the fan-out with a transient private scheduler of
-	// that size (1 is serial). Ignored when Sched is set.
-	//
-	// Deprecated: set Sched instead, so reach work draws from the one
-	// scheduler budget rather than adding a pool on top of it.
-	Workers int
 }
-
-// warnWorkersOnce emits the one-time deprecation notice for the
-// private-pool Options.Workers knob.
-var warnWorkersOnce sync.Once
 
 // Compute evaluates the exact reaching-probability and distance
 // matrices for every ordered node pair of g using the shared-
@@ -146,32 +135,11 @@ func ComputeOpts(g *cfg.Graph, opts Options) (*Result, error) {
 	}
 	res := &Result{G: g, Prob: linalg.NewMatrix(n, n), Dist: linalg.NewMatrix(n, n)}
 
-	// Resolve the scheduler the fan-out forks into: an explicit one, a
-	// serial run (Workers == 1), a transient private pool for the
-	// deprecated Workers knob, or the process-wide default.
 	s := opts.Sched
 	if s == nil {
-		switch {
-		case opts.Workers == 1:
-			// s stays nil: fully serial.
-		case opts.Workers > 1:
-			warnWorkersOnce.Do(func() {
-				slog.Warn("reach: Options.Workers is deprecated; set Options.Sched to share the scheduler budget")
-			})
-			t := sched.New(opts.Workers)
-			defer t.Close()
-			s = t
-		default:
-			s = sched.Default()
-		}
+		s = sched.Default()
 	}
-	workers := 1
-	if s != nil {
-		workers = s.Workers()
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(s.Workers(), n)
 
 	sc, ok := newSharedChain(P, lens, ws, s)
 	if !ok {
@@ -184,48 +152,37 @@ func ComputeOpts(g *cfg.Graph, opts Options) (*Result, error) {
 		return finish(res, err)
 	}
 
+	// Caller-participating claimer tasks on the scheduler: the caller
+	// plus up to workers-1 group tasks claim sources from an atomic
+	// counter, each with its own pooled workspace. Every source i is a
+	// reservation of rows i of Prob/Dist — disjoint slots, so claim
+	// order cannot affect the output.
+	errs := make([]error, n)
+	var next atomic.Int64
+	claim := func() {
+		wws := wsPool.Get().(*linalg.Workspace)
+		ss := newSourceScratch(n, wws)
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				break
+			}
+			errs[i] = computeSource(sc, i, res.Prob.Row(i), res.Dist.Row(i), ss)
+		}
+		ss.release(wws)
+		wsPool.Put(wws)
+	}
+	grp := s.NewGroup()
+	for w := 0; w < workers-1; w++ {
+		grp.Go("reach", claim)
+	}
+	claim()
+	grp.Wait()
 	var err error
-	if workers <= 1 {
-		ss := newSourceScratch(n, ws)
-		for i := 0; i < n; i++ {
-			if serr := computeSource(sc, i, res.Prob.Row(i), res.Dist.Row(i), ss); serr != nil {
-				err = fmt.Errorf("reach: source %d: %w", i, serr)
-				break
-			}
-		}
-		ss.release(ws)
-	} else {
-		// Caller-participating claimer tasks on the shared scheduler:
-		// the caller plus up to workers-1 group tasks claim sources
-		// from an atomic counter, each with its own pooled workspace.
-		// Every source i is a reservation of rows i of Prob/Dist —
-		// disjoint slots, so claim order cannot affect the output.
-		errs := make([]error, n)
-		var next atomic.Int64
-		claim := func() {
-			wws := wsPool.Get().(*linalg.Workspace)
-			ss := newSourceScratch(n, wws)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					break
-				}
-				errs[i] = computeSource(sc, i, res.Prob.Row(i), res.Dist.Row(i), ss)
-			}
-			ss.release(wws)
-			wsPool.Put(wws)
-		}
-		g := s.NewGroup()
-		for w := 0; w < workers-1; w++ {
-			g.Go("reach", claim)
-		}
-		claim()
-		g.Wait()
-		for i, serr := range errs {
-			if serr != nil {
-				err = fmt.Errorf("reach: source %d: %w", i, serr)
-				break
-			}
+	for i, serr := range errs {
+		if serr != nil {
+			err = fmt.Errorf("reach: source %d: %w", i, serr)
+			break
 		}
 	}
 
@@ -292,7 +249,7 @@ type sharedChain struct {
 
 // newSharedChain factorises the base chain once and materialises the
 // shared products — all through the packed register-blocked kernels,
-// with the trailing-update fan-out forked onto s (nil = serial;
+// with the trailing-update fan-out forked onto s (1 worker = serial;
 // deterministic: the products are byte-identical for every scheduler
 // size). ok is false when the base chain is singular or so
 // ill-conditioned that per-source refactorisation is the safer path.
@@ -308,9 +265,9 @@ func newSharedChain(P *linalg.Matrix, lens []float64, ws *linalg.Workspace, s *s
 		Arow[r] += 1
 	}
 	lu := ws.LU(n)
-	// Pooled LUs keep their fan-out fields across uses; set both so a
-	// stale private-pool count never survives into this call.
-	lu.Sched, lu.Workers = s, 0
+	// Pooled LUs keep their scheduler across uses; set it so a stale
+	// one never survives into this call.
+	lu.Sched = s
 	if err := lu.FactorInto(A); err != nil {
 		ws.PutMatrix(A)
 		ws.PutLU(lu)

@@ -9,8 +9,17 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/emu"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
+
+// schedOf returns a w-worker scheduler closed when the test ends; a
+// 1-worker scheduler is the serial reference.
+func schedOf(tb testing.TB, w int) *sched.Scheduler {
+	s := sched.New(w)
+	tb.Cleanup(s.Close)
+	return s
+}
 
 // maxAbsDiff returns the largest |a-b| over two equally-shaped matrices.
 func maxAbsDiff(a, b []float64) float64 {
@@ -139,7 +148,7 @@ func matrixBytes(t *testing.T, res *Result) []byte {
 
 // TestParallelMatchesSerialByteIdentical: the per-source fan-out writes
 // disjoint result rows from a shared read-only factorisation, so every
-// worker count must produce bit-for-bit identical output. Run with
+// scheduler size must produce bit-for-bit identical output. Run with
 // -race this also exercises the fan-out for data races.
 func TestParallelMatchesSerialByteIdentical(t *testing.T) {
 	graphs := []*cfg.Graph{
@@ -151,14 +160,20 @@ func TestParallelMatchesSerialByteIdentical(t *testing.T) {
 		g, _ := randomChainAndWalk(seed, 12, 30000)
 		graphs = append(graphs, g)
 	}
+	serialSched := schedOf(t, 1)
+	var pars []*sched.Scheduler
+	for _, workers := range []int{2, 3, 8, 64} {
+		pars = append(pars, schedOf(t, workers))
+	}
 	for gi, g := range graphs {
-		serial, err := ComputeOpts(g, Options{Workers: 1})
+		serial, err := ComputeOpts(g, Options{Sched: serialSched})
 		if err != nil {
 			t.Fatalf("graph %d serial: %v", gi, err)
 		}
 		want := matrixBytes(t, serial)
-		for _, workers := range []int{2, 3, 8, 64} {
-			par, err := ComputeOpts(g, Options{Workers: workers})
+		for _, ps := range pars {
+			workers := ps.Workers()
+			par, err := ComputeOpts(g, Options{Sched: ps})
 			if err != nil {
 				t.Fatalf("graph %d workers=%d: %v", gi, workers, err)
 			}
@@ -173,15 +188,16 @@ func TestParallelMatchesSerialByteIdentical(t *testing.T) {
 // workspace pool) under -race.
 func TestParallelRepeatedRuns(t *testing.T) {
 	g, _ := randomChainAndWalk(7, 10, 20000)
-	want, err := ComputeOpts(g, Options{Workers: 1})
+	want, err := ComputeOpts(g, Options{Sched: schedOf(t, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	par := schedOf(t, 4)
 	done := make(chan error, 8)
 	for k := 0; k < 8; k++ {
 		go func() {
 			for r := 0; r < 5; r++ {
-				res, err := ComputeOpts(g, Options{Workers: 4})
+				res, err := ComputeOpts(g, Options{Sched: par})
 				if err != nil {
 					done <- err
 					return

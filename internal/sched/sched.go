@@ -83,6 +83,10 @@ type Scheduler struct {
 
 	mu     sync.Mutex
 	global []*task
+	// shut is set by Close (under mu, with closed): from then on
+	// external submissions run on the submitting goroutine instead of
+	// queueing for workers that are exiting.
+	shut bool
 	// spec is the low-priority speculative queue: claimed only by a
 	// fully-idle worker loop after its unfiltered scan of every demand
 	// queue (own deque, global, steal sweep) came up empty. Helping
@@ -148,6 +152,28 @@ type worker struct {
 	tasks  atomic.Uint64
 	steals atomic.Uint64
 	busyNS atomic.Int64
+	// depth is how many tasks are nested on this worker's stack (a
+	// helped group task or an inline Do inside a running task); only
+	// the outermost one's time counts as busy. Only touched by the
+	// worker's own goroutine.
+	depth int
+	start time.Time
+}
+
+// begin and end bracket one task run on w. Every task counts, but busy
+// time accrues only for the outermost one: a nested run's time is
+// already inside its enclosing task's.
+func (w *worker) begin() {
+	if w.depth++; w.depth == 1 {
+		w.start = time.Now()
+	}
+}
+
+func (w *worker) end() {
+	w.tasks.Add(1)
+	if w.depth--; w.depth == 0 {
+		w.busyNS.Add(int64(time.Since(w.start)))
+	}
 }
 
 // New builds a scheduler with the given number of primary workers
@@ -196,14 +222,18 @@ func Default() *Scheduler {
 // Workers returns the primary pool size — the core budget.
 func (s *Scheduler) Workers() int { return s.fixed }
 
-// Close stops the workers once they go idle. Close is meant for
-// transient schedulers (deprecated Workers-knob compatibility paths,
-// tests) after their work has drained; tasks still queued at Close may
-// never run, so a long-lived scheduler is simply never closed.
+// Close stops the workers once they have drained the queues. It is
+// meant for schedulers with an owner that ends (an engine that built
+// its own, a test); the process-wide Default is never closed. Work
+// submitted from outside the pool after Close runs on the submitting
+// goroutine, so a closed scheduler degrades to serial rather than
+// stranding tasks, and speculative tasks are withdrawn. Close is
+// idempotent and safe for concurrent use.
 func (s *Scheduler) Close() {
-	select {
-	case <-s.closed:
-	default:
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.shut {
+		s.shut = true
 		close(s.closed)
 	}
 }
@@ -234,7 +264,9 @@ func (s *Scheduler) current() *worker {
 }
 
 // enqueue places t on the submitter's own deque (locality for nested
-// fork-join) or the global queue, then posts a wake token.
+// fork-join) or the global queue, then posts a wake token. An external
+// submission to a closed scheduler is not queued: it runs here, on the
+// submitting goroutine.
 func (s *Scheduler) enqueue(w *worker, t *task) {
 	s.submitted.Add(1)
 	if w != nil {
@@ -243,6 +275,11 @@ func (s *Scheduler) enqueue(w *worker, t *task) {
 		w.mu.Unlock()
 	} else {
 		s.mu.Lock()
+		if s.shut {
+			s.mu.Unlock()
+			s.run(nil, t)
+			return
+		}
 		s.global = append(s.global, t)
 		s.mu.Unlock()
 	}
@@ -318,16 +355,19 @@ func (s *Scheduler) find(w *worker, g *Group) *task {
 	return nil
 }
 
-// run claims and executes t on w. A lost claim means the task was
-// cancelled; it is dropped.
+// run claims and executes t on w (nil w: on a goroutine outside the
+// pool, after Close). A lost claim means the task was cancelled; it is
+// dropped.
 func (s *Scheduler) run(w *worker, t *task) {
 	if !t.state.CompareAndSwap(0, 1) {
 		s.completed.Add(1) // cancelled before it ran
 		return
 	}
-	prev := w.cur
-	w.cur = t
-	start := time.Now()
+	var prev *task
+	if w != nil {
+		prev, w.cur = w.cur, t
+		w.begin()
+	}
 	func() {
 		defer func() {
 			if p := recover(); p != nil {
@@ -337,7 +377,10 @@ func (s *Scheduler) run(w *worker, t *task) {
 				// goroutine that owns the job.
 				t.panicv, t.panics = p, true
 			}
-			w.cur = prev
+			if w != nil {
+				w.cur = prev
+				w.end() // before the join sees the task retire
+			}
 			if t.g != nil {
 				t.g.finish(t)
 			} else if t.done != nil {
@@ -346,8 +389,6 @@ func (s *Scheduler) run(w *worker, t *task) {
 		}()
 		t.fn()
 	}()
-	w.tasks.Add(1)
-	w.busyNS.Add(int64(time.Since(start)))
 	s.completed.Add(1)
 }
 
@@ -387,6 +428,12 @@ func (w *worker) loop(ready *sync.WaitGroup) {
 		case <-s.notify:
 			s.unparks.Add(1)
 		case <-s.closed:
+			// Exit once a scan that began after Close finds nothing:
+			// every task queued before Close is visible to it.
+			if t := s.find(w, nil); t != nil {
+				s.run(w, t)
+				continue
+			}
 			return
 		}
 	}
@@ -459,10 +506,9 @@ func (s *Scheduler) Do(ctx context.Context, kind string, fn func()) error {
 	if w := s.current(); w != nil {
 		s.submitted.Add(1)
 		s.inline.Add(1)
-		start := time.Now()
+		w.begin()
 		defer func() {
-			w.tasks.Add(1)
-			w.busyNS.Add(int64(time.Since(start)))
+			w.end()
 			s.completed.Add(1)
 		}()
 		fn()
@@ -523,6 +569,12 @@ func (s *Scheduler) Speculate(kind string, fn func()) (done <-chan struct{}, can
 	s.submitted.Add(1)
 	s.specSubmitted.Add(1)
 	s.mu.Lock()
+	if s.shut {
+		s.mu.Unlock()
+		s.completed.Add(1)
+		close(t.done) // withdrawn: idle workers are gone
+		return t.done, func() {}
+	}
 	s.spec = append(s.spec, t)
 	s.mu.Unlock()
 	select {
@@ -710,8 +762,9 @@ type WorkerStats struct {
 	// included); Steals counts how many of them it stole.
 	Tasks  uint64 `json:"tasks"`
 	Steals uint64 `json:"steals"`
-	// BusyMS is cumulative task-execution time in milliseconds — the
-	// occupancy numerator (divide by wall time × workers for pool
+	// BusyMS is cumulative task-execution time in milliseconds, a
+	// nested task counted once inside its outermost task — the
+	// occupancy numerator (divide by wall time for the worker's
 	// utilisation).
 	BusyMS float64 `json:"busy_ms"`
 	// QueueDepth is the instantaneous deque depth.

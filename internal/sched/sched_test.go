@@ -337,6 +337,77 @@ func TestStatsCounts(t *testing.T) {
 	}
 }
 
+// TestBusyNotDoubleCounted: inline Do calls and helped group tasks run
+// inside an enclosing task whose timer is already running, so only the
+// outermost task on a worker may accrue busy time; busy can then never
+// exceed wall time × workers.
+func TestBusyNotDoubleCounted(t *testing.T) {
+	s := New(1)
+	defer s.Close()
+	start := time.Now()
+	if err := s.Do(context.Background(), "outer", func() {
+		for i := 0; i < 5; i++ {
+			_ = s.Do(context.Background(), "inner", func() { time.Sleep(20 * time.Millisecond) })
+		}
+		g := s.NewGroup()
+		g.Go("helped", func() { time.Sleep(20 * time.Millisecond) })
+		g.Wait()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	wall := float64(time.Since(start)) / 1e6
+	st := s.Stats()
+	busy := st.PerWorker[0].BusyMS
+	if busy < 100 || busy > wall*float64(st.Workers) {
+		t.Fatalf("busy %.1fms over %.1fms wall on %d worker(s): want 100ms <= busy <= wall×workers",
+			busy, wall, st.Workers)
+	}
+	if got := st.PerWorker[0].Tasks; got != 7 {
+		t.Fatalf("tasks = %d, want 7 (outer, 5 inline, 1 helped)", got)
+	}
+}
+
+// TestClosedSchedulerRunsOnCaller: after Close the workers exit, and
+// submissions from outside the pool run on the submitting goroutine
+// instead of queueing for workers that are gone.
+func TestClosedSchedulerRunsOnCaller(t *testing.T) {
+	s := New(3)
+	if got := liveWorkers(s); got != 3 {
+		t.Fatalf("%d live workers after New(3)", got)
+	}
+	s.Close()
+	s.Close() // idempotent
+	deadline := time.Now().Add(5 * time.Second)
+	for liveWorkers(s) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d workers still live 5s after Close", liveWorkers(s))
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	ran := 0
+	if err := s.Do(context.Background(), "late", func() { ran++ }); err != nil {
+		t.Fatal(err)
+	}
+	s.For("late", 8, func(int) { ran++ })
+	g := s.NewGroup()
+	g.Go("late", func() { ran++ })
+	g.Wait()
+	if ran != 10 {
+		t.Fatalf("ran %d late tasks, want 10", ran)
+	}
+	done, cancel := s.Speculate("late", func() { t.Error("speculative task ran after Close") })
+	<-done
+	cancel()
+}
+
+// liveWorkers counts s's worker goroutines that have not exited.
+func liveWorkers(s *Scheduler) int {
+	n := 0
+	s.byGoid.Range(func(any, any) bool { n++; return true })
+	return n
+}
+
 func TestDeterministicSumAcrossWorkerCounts(t *testing.T) {
 	// Fixed-order reduction via disjoint slots: each body writes its
 	// reserved slot, the (serial) combine after Wait reads in index
